@@ -14,8 +14,13 @@ replica axis:
 Everything that must differ per replica stays per replica: each lane owns
 the delay generator the sequential :class:`NetworkSimulator` would have
 used (seeded with the replica's seed and consumed in the identical order),
-its own data loaders, attack instances and attack generators, and its own
-:class:`~repro.faults.FaultController` for probabilistic drop decisions.
+its own data-loader generators, attack instances and attack generators,
+and its own :class:`~repro.faults.FaultController` for probabilistic drop
+decisions.  Mini-batches are the exception to per-lane loops: each
+worker's lane shards sit in one flat array, every lane generator draws its
+row indices a bounded chunk at a time, and one fancy-index gather forms
+the ``(R, B, ...)`` batch of a (worker, step).
+
 The result is **bit-identical per seed** to running the scenario through
 :class:`~repro.core.trainer.GuanYuTrainer` — the tier-1 equivalence test
 (``tests/test_batch_equivalence.py``) compares full histories.
@@ -50,6 +55,7 @@ from repro.core.nodes import (
     poison_worker_batch,
 )
 from repro.core.trainer import attacking_node_ids, validate_attack_counts
+from repro.data.datasets import Dataset
 from repro.data.loader import DataLoader, partition_dataset
 from repro.faults import FaultController
 from repro.hetero import DEFAULT_PROFILE
@@ -86,12 +92,76 @@ def _seedless_payload(spec) -> Dict:
 class _Lane:
     """Everything that is private to one replica."""
 
-    __slots__ = ("spec", "seed", "test_dataset", "eval_model", "loaders",
-                 "worker_rngs", "server_rngs", "worker_attacks",
-                 "server_attacks", "delay_rng", "fault_controller", "history")
+    __slots__ = ("spec", "seed", "test_dataset", "eval_model", "worker_rngs",
+                 "server_rngs", "worker_attacks", "server_attacks",
+                 "delay_rng", "fault_controller", "history")
 
     def __init__(self) -> None:
         self.fault_controller: Optional[FaultController] = None
+
+
+#: mini-batches each lane generator draws per request.  The index table
+#: of a worker is ``(R, INDEX_CHUNK, B)``: bounded, where a whole-run table
+#: would grow with the step count and show in peak memory.
+INDEX_CHUNK = 8
+
+
+def _flatten_shards(shards: Sequence[Dataset]
+                    ) -> Tuple[np.ndarray, np.ndarray, List[Dataset]]:
+    """One worker's lane shards as one flat ``(features, labels)`` pair.
+
+    Returns the flat arrays and, per lane, a :class:`Dataset` view of that
+    lane's rows (hetero shard sizes may differ between lanes), so the shard
+    data is held once.
+    """
+    features = np.concatenate([shard.features for shard in shards])
+    labels = np.concatenate([shard.labels for shard in shards])
+    views, start = [], 0
+    for shard in shards:
+        stop = start + len(shard)
+        views.append(Dataset(features[start:stop], labels[start:stop],
+                             num_classes=shard.num_classes, name=shard.name))
+        start = stop
+    return features, labels, views
+
+
+class _WorkerBatches:
+    """Every lane's mini-batches of one worker, drawn and gathered at once.
+
+    Lane ``r`` keeps the :class:`DataLoader` generator the sequential
+    worker would use (same seed, over a view of its rows) and draws
+    :data:`INDEX_CHUNK` batches of row indices per request — bit for bit
+    the draws of that many ``next_batch`` calls.  Participation and local
+    steps are lane-invariant, so every lane consumes batches in lock-step
+    and one cursor walks the chunk for all of them; :meth:`next_batch` is
+    a single fancy-index gather into the flat shard arrays.
+    """
+
+    __slots__ = ("loaders", "_features", "_labels", "_offsets", "_rows",
+                 "_cursor")
+
+    def __init__(self, features: np.ndarray, labels: np.ndarray,
+                 views: Sequence[Dataset], batch_size: int,
+                 seeds: Sequence[int]) -> None:
+        self._features = features
+        self._labels = labels
+        self.loaders = [DataLoader(view, batch_size=batch_size, seed=seed)
+                        for view, seed in zip(views, seeds)]
+        starts = np.cumsum([0] + [len(view) for view in views[:-1]])
+        self._offsets = starts[:, None, None]
+        self._rows = np.empty((len(views), 0, 0), dtype=np.int64)
+        self._cursor = 0
+
+    def next_batch(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The next ``(features (R, B, ...), labels (R, B))`` of all lanes."""
+        if self._cursor == self._rows.shape[1]:
+            self._rows = np.stack([loader.draw_indices(INDEX_CHUNK)
+                                   for loader in self.loaders]) \
+                + self._offsets
+            self._cursor = 0
+        rows = self._rows[:, self._cursor]
+        self._cursor += 1
+        return self._features[rows], self._labels[rows]
 
 
 class _PhaseBuffer:
@@ -244,19 +314,44 @@ class BatchedGuanYuTrainer:
             for index in range(len(self.worker_ids))]
 
         self.lanes: List[_Lane] = []
-        template = None
+        lane_shards: List[List[Dataset]] = []
         for spec in specs:
-            lane, lane_template = self._build_lane(spec)
+            lane, shards = self._build_lane(spec)
             self.lanes.append(lane)
-            if template is None:
-                template = lane_template
+            lane_shards.append(shards)
+        template = self.lanes[0].eval_model
+
+        # Workers whose shards are the same objects in every lane (the
+        # ``replicated`` strategy) share one flat copy.  Each worker's
+        # shards are released once flattened, so setup never holds the
+        # shard data twice over.
+        keys = [tuple(id(lane[index]) for lane in lane_shards)
+                for index in range(len(self.worker_ids))]
+        flat: Dict[Tuple[int, ...], Tuple] = {}
+        self._batches: List[_WorkerBatches] = []
+        for index, profile in enumerate(self.profiles):
+            if keys[index] not in flat:
+                flat[keys[index]] = _flatten_shards(
+                    [lane[index] for lane in lane_shards])
+            for lane in lane_shards:
+                lane[index] = None
+            self._batches.append(_WorkerBatches(
+                *flat[keys[index]],
+                batch_size=profile.batch_size or base.batch_size,
+                seeds=[spec.seed + 1000 + index for spec in specs]))
+        del lane_shards, flat
+        #: per worker, the lanes whose attack gets a data-poisoning hook
+        self._poisoned_lanes = [
+            [r for r, lane in enumerate(self.lanes)
+             if lane.worker_attacks[worker_id] is not None]
+            for worker_id in self.worker_ids]
 
         # Hetero partitions vary per seed, and a shard smaller than the
         # requested batch size clamps its loader — per-lane batch shapes
         # would then disagree and the (R, B, ...) stacks could not form.
-        for index in range(len(self.worker_ids)):
-            lane_batch_sizes = {lane.loaders[index].batch_size
-                                for lane in self.lanes}
+        for index, batches in enumerate(self._batches):
+            lane_batch_sizes = {loader.batch_size
+                                for loader in batches.loaders}
             if len(lane_batch_sizes) > 1:
                 raise BatchedExecutionError(
                     f"worker {self.worker_ids[index]}: per-seed hetero "
@@ -331,7 +426,7 @@ class BatchedGuanYuTrainer:
             lane.history.config = dict(shared_config)
 
     # ------------------------------------------------------------------ #
-    def _build_lane(self, spec) -> Tuple[_Lane, object]:
+    def _build_lane(self, spec) -> Tuple[_Lane, List[Dataset]]:
         from repro.experiments.common import (  # lazy: avoids import cycle
             build_scale_bundle,
         )
@@ -363,12 +458,6 @@ class BatchedGuanYuTrainer:
         shards = partition_dataset(train, len(self.worker_ids),
                                    sharding=spec.sharding, hetero=spec.hetero,
                                    seed=spec.seed)
-        lane.loaders = [
-            DataLoader(shards[index],
-                       batch_size=(self.profiles[index].batch_size
-                                   or spec.batch_size),
-                       seed=spec.seed + 1000 + index)
-            for index in range(len(self.worker_ids))]
         lane.worker_rngs = [np.random.default_rng(spec.seed + 2000 + index)
                             for index in range(len(self.worker_ids))]
         lane.server_rngs = [np.random.default_rng(spec.seed + 3000 + index)
@@ -394,7 +483,7 @@ class BatchedGuanYuTrainer:
                     node_id, attacks[node_id])
 
         lane.history = TrainingHistory(label=spec.name)
-        return lane, lane.eval_model
+        return lane, shards
 
     # ------------------------------------------------------------------ #
     # Fault / delay plumbing (per logical message, vectorised over lanes)
@@ -550,22 +639,17 @@ class BatchedGuanYuTrainer:
                           ) -> Tuple[np.ndarray, np.ndarray, int]:
         """One replica-batched gradient for worker ``w_index`` at ``theta``.
 
-        Draws the next mini-batch of every lane (running any data-poisoning
-        hook at the parameters the gradient is computed at, exactly like
-        :meth:`WorkerNode.compute_gradient`) and returns
-        ``(losses (R,), gradients (R, D), samples per lane)``.
+        Gathers the next mini-batch of every lane at once, then runs any
+        data-poisoning hook per lane at the parameters the gradient is
+        computed at, exactly like :meth:`WorkerNode.compute_gradient`, and
+        returns ``(losses (R,), gradients (R, D), samples per lane)``.
         """
-        features_rows, labels_rows = [], []
-        for r, lane in enumerate(self.lanes):
-            features, labels = lane.loaders[w_index].next_batch()
-            features, labels = poison_worker_batch(
-                lane.worker_attacks[worker_id],
-                lane.worker_rngs[w_index], theta[r], step_index,
-                features, labels)
-            features_rows.append(features)
-            labels_rows.append(np.asarray(labels, dtype=np.int64))
-        features_batch = np.stack(features_rows)
-        labels_batch = np.stack(labels_rows)
+        features_batch, labels_batch = self._batches[w_index].next_batch()
+        for r in self._poisoned_lanes[w_index]:
+            lane = self.lanes[r]
+            features_batch[r], labels_batch[r] = poison_worker_batch(
+                lane.worker_attacks[worker_id], lane.worker_rngs[w_index],
+                theta[r], step_index, features_batch[r], labels_batch[r])
         losses, gradients = self.dense_stack.forward_backward(
             theta, features_batch, labels_batch)
         return losses, gradients, labels_batch.shape[1]

@@ -52,6 +52,8 @@ _DELAY_MODELS = {
 _COST_MODELS = {"grid5000": GRID5000_LIKE, "instant": INSTANT}
 _DATASETS = ("blobs", "images")
 _MODELS = ("softmax", "mlp", "small_cnn", "paper_cnn")
+#: models whose first layer is a convolution: they need ``(C, H, W)`` samples
+_CNN_MODELS = ("small_cnn", "paper_cnn")
 
 
 def available_trainers() -> List[str]:
@@ -407,6 +409,10 @@ class ScenarioSpec:
             raise ValueError(f"unknown dataset '{self.dataset}'")
         if self.model not in _MODELS:
             raise ValueError(f"unknown model '{self.model}'")
+        if self.model in _CNN_MODELS and self.dataset != "images":
+            raise ValueError(f"model '{self.model}' convolves image tensors; "
+                             f"use dataset=\"images\" (got dataset="
+                             f"\"{self.dataset}\")")
         if self.num_steps <= 0:
             raise ValueError("num_steps must be positive")
         if self.eval_every <= 0:

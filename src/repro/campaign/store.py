@@ -253,8 +253,10 @@ class ResultStore:
         descriptor, temp_name = tempfile.mkstemp(prefix=f".{path.name}.",
                                                  suffix=".tmp",
                                                  dir=path.parent)
+        # One encode and one write: ``json.dump`` streams thousands of
+        # small writes for the same bytes.
         with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
+            handle.write(json.dumps(payload, indent=2, sort_keys=True))
         os.replace(temp_name, path)
         # Entry first, index row second: a writer killed between the two
         # leaves a key-set mismatch the next reader detects and rebuilds.

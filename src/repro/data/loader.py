@@ -56,6 +56,22 @@ class DataLoader:
                                        size=self.batch_size, replace=False)
         return self.dataset.features[indices], self.dataset.labels[indices]
 
+    def draw_indices(self, num_batches: int) -> np.ndarray:
+        """Row indices of the next ``num_batches`` mini-batches at once.
+
+        Returns a ``(num_batches, batch_size)`` array whose row ``k`` is,
+        bit for bit, the index draw the ``k``-th of ``num_batches``
+        successive :meth:`next_batch` calls would make: one
+        ``Generator.integers`` request of shape ``(num_batches, B)`` yields
+        the same stream as ``num_batches`` requests of size ``B`` and
+        leaves the generator in the same state.  Only defined for sampling
+        with replacement.
+        """
+        if not self.sample_with_replacement:
+            raise ValueError("draw_indices needs sample_with_replacement=True")
+        return self._rng.integers(0, self._num_samples,
+                                  size=(num_batches, self.batch_size))
+
     def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         """Iterate once over the dataset in shuffled mini-batches."""
         order = self._rng.permutation(len(self.dataset))

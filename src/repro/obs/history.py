@@ -9,7 +9,7 @@ module re-exports everything, so both import paths keep working.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -127,10 +127,22 @@ class TrainingHistory:
     # Serialisation
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict:
+        # Built field by field: ``dataclasses.asdict`` recurses and
+        # deep-copies every value, which dominated serialising a history.
+        # The only mutable field, ``phase_durations``, is still copied.
         return {
             "label": self.label,
             "config": self.config,
-            "records": [asdict(r) for r in self.records],
+            "records": [{
+                "step": r.step,
+                "simulated_time": r.simulated_time,
+                "train_loss": r.train_loss,
+                "test_accuracy": r.test_accuracy,
+                "max_server_spread": r.max_server_spread,
+                "learning_rate": r.learning_rate,
+                "phase_durations": (None if r.phase_durations is None
+                                    else dict(r.phase_durations)),
+            } for r in self.records],
         }
 
     def to_json(self, indent: int = 2) -> str:

@@ -17,10 +17,12 @@ from repro.batch import (
     run_batched_scenarios,
     spec_supports_batching,
 )
+from repro.batch.trainer import INDEX_CHUNK
 from repro.campaign.engine import execute_scenario, run_campaign
 from repro.campaign.spec import AttackSpec, ScenarioSpec
 from repro.campaign.store import ResultStore
 from repro.faults import FaultEvent, FaultSchedule
+from repro.runtime import run
 
 SEEDS = (0, 1, 7)
 
@@ -256,3 +258,68 @@ class TestBatchedInternals:
         observer = trainer.global_parameters()
         assert observer.shape == (2, trainer.num_parameters)
         assert np.all(np.isfinite(observer))
+
+
+class TestVectorisedDataPath:
+    """The chunked index draws and the per-(worker, step) gather.
+
+    Each lane's loader draws ``INDEX_CHUNK`` batches of row indices per
+    request and all lanes share one cursor per worker; these cases cross
+    chunk boundaries in every way the protocol can consume batches.
+    """
+
+    STEPS = 2 * INDEX_CHUNK + 3  # two refills, then a partial chunk
+
+    def _assert_identical(self, specs):
+        batched = run_batched_scenarios(specs)
+        for spec, history in zip(specs, batched):
+            assert history.to_dict() == run(spec).history.to_dict()
+
+    def _specs(self, prefix, **overrides):
+        return [ScenarioSpec(name=f"{prefix}{seed}", seed=seed,
+                             **_small(num_steps=self.STEPS, eval_every=7,
+                                      **overrides))
+                for seed in SEEDS]
+
+    def test_run_longer_than_one_index_chunk(self):
+        self._assert_identical(self._specs("long"))
+
+    def test_dirichlet_shards_differ_in_size_between_lanes(self):
+        specs = self._specs("dir", hetero={"partition": "dirichlet",
+                                           "alpha": 0.5, "min_samples": 16})
+        trainer = BatchedGuanYuTrainer(specs)
+        lane_sizes = [[len(loader.dataset) for loader in batches.loaders]
+                      for batches in trainer._batches]
+        assert any(len(set(sizes)) > 1 for sizes in lane_sizes)
+        self._assert_identical(specs)
+
+    def test_local_steps_draw_several_batches_per_step(self):
+        self._assert_identical(self._specs(
+            "loc", hetero={"profiles": [{"local_steps": 3}, {}]}))
+
+    def test_crashed_worker_draws_no_batches_while_idle(self):
+        schedule = FaultSchedule(events=[
+            FaultEvent(step=2, kind="crash", nodes=["worker/3"]),
+            FaultEvent(step=13, kind="recover", nodes=["worker/3"]),
+        ])
+        specs = self._specs("idle", faults=schedule.to_dict())
+        trainer = BatchedGuanYuTrainer(specs)
+        for step in range(5):
+            trainer.step(step)
+        assert "worker/3" not in trainer._participants(4)[0]
+        # the idle worker's cursor stopped at its crash; worker/0's did not
+        assert trainer._batches[3]._cursor == 2
+        assert trainer._batches[0]._cursor == 5
+        self._assert_identical(specs)
+
+    def test_label_flip_poisoning_across_refills(self):
+        self._assert_identical(self._specs(
+            "flip", worker_attack=AttackSpec("label_flip",
+                                             {"num_classes": 4})))
+
+    def test_replicated_sharding_shares_one_flat_copy(self):
+        specs = self._specs("rep", sharding="replicated")
+        trainer = BatchedGuanYuTrainer(specs)
+        flat = {id(batches._features) for batches in trainer._batches}
+        assert len(flat) == 1
+        self._assert_identical(specs)

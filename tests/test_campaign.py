@@ -133,6 +133,14 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="dataset"):
             tiny_spec(dataset="imagenet").validate()
 
+    @pytest.mark.parametrize("model", ["small_cnn", "paper_cnn"])
+    def test_cnn_needs_the_images_dataset(self, model):
+        # Regression: a CNN on the default "blobs" passed validate() and
+        # then crashed in conv2d with a broadcast error.
+        with pytest.raises(ValueError, match='dataset="images"'):
+            tiny_spec(model=model).validate()
+        assert tiny_spec(model=model, dataset="images").validate()
+
     def test_misspelled_attack_kwarg_is_a_value_error(self):
         bad = tiny_spec(worker_attack=AttackSpec("random_gradient",
                                                  {"magnitude": 5.0}))
@@ -282,6 +290,37 @@ class TestResultStore:
         assert stored.spec == spec
         assert stored.history.to_dict() == history.to_dict()
         assert stored.meta["duration_seconds"] == 0.5
+
+    def test_entry_bytes_match_the_streamed_asdict_encoding(self, tmp_path,
+                                                            monkeypatch):
+        """``put`` writes the bytes ``json.dump`` of the ``asdict`` form
+        wrote, so entry files and their content addresses never move."""
+        import dataclasses
+        import io
+        import json
+
+        from repro.campaign import store as store_module
+        from repro.runtime import run
+
+        spec = tiny_spec()
+        history = run(spec).history
+        history.records[0].train_loss = float("nan")
+        store = ResultStore(tmp_path)
+        monkeypatch.setattr(store_module.time, "time", lambda: 1234.5)
+        key = store.put(spec, history, duration_seconds=0.25)
+
+        legacy = io.StringIO()
+        json.dump({
+            "version": store_module.STORE_VERSION, "key": key,
+            "spec": spec.to_dict(),
+            "history": {"label": history.label, "config": history.config,
+                        "records": [dataclasses.asdict(r)
+                                    for r in history.records]},
+            "meta": {"status": "ran", "duration_seconds": 0.25,
+                     "created_at": 1234.5},
+        }, legacy, indent=2, sort_keys=True)
+        assert store.path_for(key).read_bytes() \
+            == legacy.getvalue().encode("utf-8")
 
     def test_missing_key_raises(self, tmp_path):
         with pytest.raises(KeyError):

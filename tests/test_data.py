@@ -11,7 +11,7 @@ from repro.data import (
     make_blobs_dataset,
     make_moons_dataset,
     make_spirals_dataset,
-    shard_dataset,
+    partition_dataset,
 )
 
 
@@ -137,22 +137,47 @@ class TestDataLoader:
         with pytest.raises(ValueError):
             DataLoader(data, batch_size=0)
 
+    @pytest.mark.parametrize("num_samples", [1, 13, 75, 680])
+    @pytest.mark.parametrize("batch_size", [1, 5, 16, 32])
+    def test_chunked_index_draws_equal_per_call_draws(self, num_samples,
+                                                      batch_size):
+        # Row i holds the value i, so a batch's features are its indices.
+        data = Dataset(np.arange(num_samples, dtype=float)[:, None],
+                       np.zeros(num_samples, dtype=np.int64))
+        chunked = DataLoader(data, batch_size=batch_size, seed=9)
+        per_call = DataLoader(data, batch_size=batch_size, seed=9)
+        for count in (3, 1, 8):
+            rows = chunked.draw_indices(count)
+            assert rows.shape == (count, min(batch_size, num_samples))
+            for row in rows:
+                features, _ = per_call.next_batch()
+                assert np.array_equal(row, features[:, 0].astype(np.int64))
+        # ... and both generators are left in the same state
+        assert np.array_equal(chunked.next_batch()[0],
+                              per_call.next_batch()[0])
+
+    def test_draw_indices_needs_sampling_with_replacement(self):
+        data = make_blobs_dataset(num_samples=10, seed=0)
+        loader = DataLoader(data, batch_size=2, sample_with_replacement=False)
+        with pytest.raises(ValueError, match="sample_with_replacement"):
+            loader.draw_indices(2)
+
 
 class TestSharding:
     def test_iid_shards_partition_dataset(self):
         data = make_blobs_dataset(num_samples=100, seed=0)
-        shards = shard_dataset(data, 4, strategy="iid", seed=1)
+        shards = partition_dataset(data, 4, sharding="iid", seed=1)
         assert len(shards) == 4
         assert sum(len(s) for s in shards) == 100
 
     def test_replicated_shards_share_everything(self):
         data = make_blobs_dataset(num_samples=30, seed=0)
-        shards = shard_dataset(data, 3, strategy="replicated")
+        shards = partition_dataset(data, 3, sharding="replicated")
         assert all(len(s) == 30 for s in shards)
 
     def test_by_class_shards_are_skewed(self):
         data = make_blobs_dataset(num_samples=300, num_classes=3, seed=0)
-        shards = shard_dataset(data, 3, strategy="by_class")
+        shards = partition_dataset(data, 3, sharding="by_class")
         # Each by-class shard should be dominated by few classes.
         dominant = [np.bincount(s.labels, minlength=3).max() / len(s) for s in shards]
         assert all(fraction > 0.8 for fraction in dominant)
@@ -160,9 +185,9 @@ class TestSharding:
     def test_unknown_strategy_raises(self):
         data = make_blobs_dataset(num_samples=10, seed=0)
         with pytest.raises(ValueError):
-            shard_dataset(data, 2, strategy="magic")
+            partition_dataset(data, 2, sharding="magic")
 
     def test_too_many_shards_raises(self):
         data = make_blobs_dataset(num_samples=3, seed=0)
         with pytest.raises(ValueError):
-            shard_dataset(data, 10)
+            partition_dataset(data, 10)

@@ -1,5 +1,8 @@
 """Tests for metrics: accuracy, throughput, and training histories."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -106,6 +109,48 @@ class TestTrainingHistory:
                                phase_durations={"phase1": 0.5}))
         restored = TrainingHistory.from_json(history.to_json())
         assert restored.records[0].phase_durations == {"phase1": 0.5}
+
+
+def asdict_form(history):
+    """The ``dataclasses.asdict`` serialisation ``to_dict`` must match."""
+    return {"label": history.label, "config": history.config,
+            "records": [dataclasses.asdict(r) for r in history.records]}
+
+
+class TestTrainingHistorySerialisation:
+    def _history(self):
+        history = TrainingHistory(label="ser", config={"k": [1, 2]})
+        history.add(StepRecord(step=0, simulated_time=0.5))  # all None
+        history.add(StepRecord(step=1, simulated_time=1.5,
+                               train_loss=float("nan"), test_accuracy=0.25,
+                               max_server_spread=0.0, learning_rate=0.1,
+                               phase_durations={"phase1": 0.25,
+                                                "phase2": 1.0}))
+        history.add(StepRecord(step=2, simulated_time=2.5, train_loss=0.75,
+                               phase_durations={}))
+        return history
+
+    def test_to_dict_equals_asdict_form(self):
+        history = self._history()
+        got, expected = history.to_dict(), asdict_form(history)
+        # NaN != NaN, so compare the JSON text (same keys in the same order)
+        assert json.dumps(got) == json.dumps(expected)
+        assert np.isnan(got["records"][1]["train_loss"])
+        assert got["records"][0]["phase_durations"] is None
+
+    def test_record_keys_follow_the_dataclass_fields(self):
+        # A new StepRecord field must reach to_dict(), or it is lost on put.
+        record = self._history().to_dict()["records"][1]
+        assert list(record) == [f.name for f in dataclasses.fields(StepRecord)]
+
+    def test_returned_phase_durations_are_a_copy(self):
+        history = self._history()
+        payload = history.to_dict()
+        payload["records"][1]["phase_durations"]["phase1"] = 99.0
+        payload["records"][2]["phase_durations"]["extra"] = 1.0
+        assert history.records[1].phase_durations == {"phase1": 0.25,
+                                                      "phase2": 1.0}
+        assert history.records[2].phase_durations == {}
 
 
 class TestThroughputMetrics:
